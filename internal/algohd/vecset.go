@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -76,8 +77,16 @@ type topsCache struct {
 	// compute — so once set, skyAbandoned stops all further attempts.
 	skyDepth     int
 	skyAbandoned bool
-	skyIDs       []int            // ascending candidate ids
-	skySub       *dataset.Dataset // rows of skyIDs, aligned; nil when not pruning
+	skyIDs       []int            // ascending candidate ids; nil when not pruning
+	skySub       *dataset.Dataset // rows of skyIDs, aligned; built on first buffered pass
+
+	// Sum-ordered layouts the fused kernel streams (see ordered): the
+	// current skyband's, replaced with the depth, and the whole dataset's
+	// for unpruned passes. Touched only under buildMu.
+	skyOrdIDs  []int
+	skyOrd     *dataset.Dataset
+	fullOrdIDs []int
+	fullOrd    *dataset.Dataset
 
 	mu   sync.Mutex
 	vecs []geom.Vector // canonical vector list; replaced on growth, never edited
@@ -202,25 +211,41 @@ func clampWorkers(workers, numTiles int) int {
 
 // scorePass fills tops[start:] with depth-target top lists for
 // vecs[start:], the expensive heart of every (re)build. Called with buildMu
-// held. Three optimizations over scoring one vector at a time against the
-// row-major matrix, all bit-identical to that baseline:
+// held. All of its optimizations are bit-identical to scoring one vector
+// at a time against the row-major matrix:
 //
 //   - the selection universe shrinks to the target-depth k-skyband
 //     (candidates): tuples always-beaten by target others can never enter
 //     any top-target list, so both scoring and selection skip them;
-//   - worker goroutines pull whole tiles of vectors and score them with
-//     dataset.UtilitiesBatch's blocked column-major kernel;
-//   - topk.SelectBatch turns each score tile into top lists by selection
-//     (inline heap scan or quickselect) instead of container/heap churn.
+//   - while the heap-scan rule of topk.SelectScratch holds (8·target below
+//     the universe size), topk.ScoreSelect fuses scoring and selection per
+//     vector over the universe's rows in attribute-sum order, so strong
+//     tuples arrive first and the heap threshold settles early;
+//   - otherwise (deep lists over small universes) worker tiles are scored
+//     with dataset.UtilitiesBatch's blocked column-major kernel and turned
+//     into lists by topk.SelectBatch's quickselect.
 //
 // The worker count honors SetParallelism (default GOMAXPROCS); tiles are
 // handed out by an atomic counter so uneven tiles cannot starve workers.
+// Each tile's lists share one slab, carved with capped slices.
 func (tc *topsCache) scorePass(ctx context.Context, vecs []geom.Vector, start, target int, tops [][]int) error {
-	candIDs, candDS := tc.candidates(target)
-	// Materialize the column mirror before the fan-out so cold-path workers
-	// don't all race to build identical copies.
-	candDS.ColumnMajor()
-	tile := vecTileSize(candDS.N())
+	candIDs := tc.candidates(target)
+	nCand := tc.ds.N()
+	if candIDs != nil {
+		nCand = len(candIDs)
+	}
+	fused := 8*target < nCand
+	var ordIDs []int
+	var ordDS, candDS *dataset.Dataset
+	if fused {
+		ordIDs, ordDS = tc.ordered(candIDs)
+	} else {
+		candDS = tc.buffered(candIDs)
+		// Materialize the column mirror before the fan-out so cold-path
+		// workers don't all race to build identical copies.
+		candDS.ColumnMajor()
+	}
+	tile := vecTileSize(nCand)
 	numTiles := (len(vecs) - start + tile - 1) / tile
 	workers := clampWorkers(int(tc.par.Load()), numTiles)
 	var next atomic.Int64
@@ -231,20 +256,26 @@ func (tc *topsCache) scorePass(ctx context.Context, vecs []geom.Vector, start, t
 			defer wg.Done()
 			var scores [][]float64
 			var scratch []int
+			var heap []topk.Entry
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= numTiles || ctxutil.Cancelled(ctx) != nil {
 					return
 				}
 				lo := start + t*tile
-				hi := lo + tile
-				if hi > len(vecs) {
-					hi = len(vecs)
+				hi := min(lo+tile, len(vecs))
+				if !fused {
+					scores = candDS.UtilitiesBatch(vecs[lo:hi], scores)
+					var lists [][]int
+					lists, scratch = topk.SelectBatch(scores, candIDs, target, scratch)
+					copy(tops[lo:hi], lists)
+					continue
 				}
-				scores = candDS.UtilitiesBatch(vecs[lo:hi], scores)
-				var lists [][]int
-				lists, scratch = topk.SelectBatch(scores, candIDs, target, scratch)
-				copy(tops[lo:hi], lists)
+				slab := make([]int, (hi-lo)*target)
+				for v := lo; v < hi; v++ {
+					tops[v], heap = topk.ScoreSelect(slab[:0:target], ordDS, ordIDs, vecs[v], target, heap)
+					slab = slab[target:]
+				}
 			}
 		}()
 	}
@@ -252,30 +283,62 @@ func (tc *topsCache) scorePass(ctx context.Context, vecs []geom.Vector, start, t
 	return ctxutil.Cancelled(ctx)
 }
 
-// candidates returns the depth-aware selection universe: the k-skyband ids
-// plus a compacted dataset of their rows when pruning pays, or (nil, full
-// dataset) otherwise. Computed once per depth and cached; depth only grows,
-// so one slot suffices. Called with buildMu held.
-func (tc *topsCache) candidates(depth int) ([]int, *dataset.Dataset) {
+// candidates returns the depth-aware selection universe: the ascending
+// k-skyband ids when pruning pays, or nil for the whole dataset. Computed
+// once per depth and cached; depth only grows, so one slot suffices. Called
+// with buildMu held.
+func (tc *topsCache) candidates(depth int) []int {
 	n := tc.ds.N()
 	if depth >= n || tc.skyAbandoned {
-		return nil, tc.ds
+		return nil
 	}
 	if tc.skyDepth != depth {
 		tc.skyDepth = depth
-		tc.skySub = nil
-		tc.skyIDs = skyline.KSkyband(tc.ds, depth)
-		if len(tc.skyIDs) == 0 || len(tc.skyIDs) >= n {
-			tc.skyIDs = nil
+		tc.skyIDs, tc.skySub = nil, nil
+		ordIDs, ord := skyline.KSkybandOrdered(tc.ds, depth)
+		if len(ordIDs) == 0 || len(ordIDs) >= n {
+			tc.skyOrdIDs, tc.skyOrd = nil, nil
 			tc.skyAbandoned = true
-		} else {
-			tc.skySub = tc.ds.Subset(tc.skyIDs)
+			return nil
 		}
+		// The skyband scan already visits tuples in sum order and packs the
+		// kept rows, so the fused kernel's layout comes for free.
+		tc.skyOrdIDs, tc.skyOrd = ordIDs, ord
+		tc.skyIDs = slices.Sorted(slices.Values(ordIDs))
+	}
+	return tc.skyIDs
+}
+
+// ordered returns the universe named by ids (nil = the whole dataset) in
+// skyline.SumOrder, with its rows packed in that order: the layout the
+// fused kernel streams. Built on first use and cached. Called with buildMu
+// held.
+func (tc *topsCache) ordered(ids []int) ([]int, *dataset.Dataset) {
+	if ids == nil {
+		if tc.fullOrd == nil {
+			tc.fullOrdIDs = skyline.SumOrder(tc.ds, nil)
+			tc.fullOrd = tc.ds.Subset(tc.fullOrdIDs)
+		}
+		return tc.fullOrdIDs, tc.fullOrd
+	}
+	if tc.skyOrd == nil {
+		tc.skyOrdIDs = skyline.SumOrder(tc.ds, ids)
+		tc.skyOrd = tc.ds.Subset(tc.skyOrdIDs)
+	}
+	return tc.skyOrdIDs, tc.skyOrd
+}
+
+// buffered returns the rows of the universe named by ids (nil = the whole
+// dataset) in ascending id order, the layout of the buffered path. Built on
+// first use and cached. Called with buildMu held.
+func (tc *topsCache) buffered(ids []int) *dataset.Dataset {
+	if ids == nil {
+		return tc.ds
 	}
 	if tc.skySub == nil {
-		return nil, tc.ds
+		tc.skySub = tc.ds.Subset(ids)
 	}
-	return tc.skyIDs, tc.skySub
+	return tc.skySub
 }
 
 // snapshot ensures depth k and returns the committed lists. The returned

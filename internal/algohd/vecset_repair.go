@@ -2,6 +2,7 @@ package algohd
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,7 +87,7 @@ func (s *SharedVecSet) repairFrom(ctx context.Context, src *repairSource) (bool,
 	// set's vector list reallocates instead of appending into the shared
 	// backing array.
 	vecs := old.vecs[:len(old.vecs):len(old.vecs)]
-	space, gridCount, samples, oldTC := old.space, old.gridCount, old.samples, old.tc
+	space, stream, gridCount, samples, oldTC := old.space, old.stream, old.gridCount, old.samples, old.tc
 	old.mu.Unlock()
 	// Adopt the source's resolved space immediately: even a declined
 	// repair's cold-build fallback must discretize the same (possibly
@@ -100,10 +101,10 @@ func (s *SharedVecSet) repairFrom(ctx context.Context, src *repairSource) (bool,
 	s.vecs = vecs
 	s.gridCount = gridCount
 	s.samples = samples
-	// The sample stream is deterministic from the seed; rather than cloning
-	// the source's rng, resync (replay) lazily if an extension ever needs it.
-	s.rng = nil
-	s.rngDirty = true
+	// The sample stream depends only on the space, seed, and sampler, which
+	// the two sets share, so the stream is shared too: extending either set
+	// draws on from wherever the stream already is.
+	s.stream = stream
 	s.tc = tc
 	s.built = true
 	return true, nil
@@ -217,13 +218,12 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 	// depth probe recomputes it. Abandonment carries over: it only ever
 	// means "no pruning", which is always sound.
 	out.skyAbandoned = tc.skyAbandoned
-	if !hasDelete && tc.skySub != nil && !tc.skyAbandoned {
+	if !hasDelete && tc.skyIDs != nil && !tc.skyAbandoned {
 		ids := make([]int, 0, len(tc.skyIDs)+len(newIDs))
 		ids = append(ids, tc.skyIDs...)
 		ids = append(ids, newIDs...) // appended ids exceed every old id: still ascending
 		out.skyDepth = tc.skyDepth
 		out.skyIDs = ids
-		out.skySub = newDS.Subset(ids)
 	}
 	return out, true, nil
 }
@@ -231,9 +231,14 @@ func (tc *topsCache) repaired(ctx context.Context, newDS *dataset.Dataset, delta
 // repairMergePass fills repTops[v] for every non-affected vector: the old
 // list remapped through the deletion and merged with the batch-scored
 // appended rows, truncated to target. Affected vectors are skipped (the
-// re-select pass owns them).
+// re-select pass owns them). A tile's new lists are staged in the worker's
+// buffer and then copied into one exact-size slab, carved with capped
+// slices, so a tile costs one allocation however many lists change.
 func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, newDS, newSub *dataset.Dataset, newIDs []int, oldToNew []int, hasDelete bool, isAffected []bool, target int, repTops, tops [][]int) error {
-	tile := vecTileSize(max(len(newIDs), 1))
+	// Appended-row sets are usually tiny, so tiles four times a build's
+	// amortize the per-tile scoring call and slab further; scaling n by the
+	// same factor keeps the score buffer within vecTileSize's bound.
+	tile := 4 * vecTileSize(4*max(len(newIDs), 1))
 	numTiles := (len(vecs) + tile - 1) / tile
 	workers := clampWorkers(int(tc.par.Load()), numTiles)
 	var next atomic.Int64
@@ -243,7 +248,9 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 		go func() {
 			defer wg.Done()
 			var scores [][]float64
-			var order []int
+			var m listMerger
+			type staged struct{ v, lo, hi int }
+			var fresh []staged
 			for {
 				t := int(next.Add(1)) - 1
 				if t >= numTiles || ctxutil.Cancelled(ctx) != nil {
@@ -253,6 +260,7 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 				if newSub != nil {
 					scores = newSub.UtilitiesBatch(vecs[lo:hi], scores)
 				}
+				m.buf, fresh = m.buf[:0], fresh[:0]
 				for v := lo; v < hi; v++ {
 					if isAffected[v] {
 						continue
@@ -261,7 +269,18 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 					if newSub != nil {
 						candScores = scores[v-lo]
 					}
-					repTops[v] = mergeRepairList(newDS, vecs[v], tops[v], oldToNew, hasDelete, newIDs, candScores, target, &order)
+					start := len(m.buf)
+					if list, ok := m.merge(newDS, vecs[v], tops[v], oldToNew, hasDelete, newIDs, candScores, target); !ok {
+						repTops[v] = list
+						continue
+					}
+					fresh = append(fresh, staged{v, start, len(m.buf)})
+				}
+				if len(fresh) > 0 {
+					slab := slices.Clone(m.buf)
+					for _, f := range fresh {
+						repTops[f.v] = slab[f.lo:f.hi:f.hi]
+					}
 				}
 			}
 		}()
@@ -270,21 +289,33 @@ func (tc *topsCache) repairMergePass(ctx context.Context, vecs []geom.Vector, ne
 	return ctxutil.Cancelled(ctx)
 }
 
-// mergeRepairList produces the depth-target list for one vector from its
-// committed pre-mutation list: incumbents keep their order (scores and
-// relative ids are unchanged by append/delete), so the merge walks the two
-// sorted sequences with the builders' comparator. The result is exactly the
-// cold-built list: an old row absent from the incumbent list was beaten by
-// >= topK surviving rows and can never enter, and every appended row is a
-// candidate. When nothing changes, the committed slice is returned as-is
-// (lists are immutable, so sharing across caches is safe).
-func mergeRepairList(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew []int, hasDelete bool, newIDs []int, candScores []float64, target int, order *[]int) []int {
+// listMerger is one repair worker's scratch for merge: the entrant order,
+// the current list's remapped incumbents and their scores, and the buffer
+// new lists are staged in.
+type listMerger struct {
+	cand   []int
+	ids    []int // the current list's incumbents, remapped
+	scores []float64
+	buf    []int
+}
+
+// merge produces the depth-target list for one vector from its committed
+// pre-mutation list: incumbents keep their order (scores and relative ids
+// are unchanged by append/delete), so the entrants, sorted, are merged into
+// them with the builders' comparator. The result is exactly the cold-built
+// list: an old row absent from the incumbent list was beaten by >= topK
+// surviving rows and can never enter, and every appended row is a
+// candidate.
+//
+// A new list is appended to m.buf and reported with true. When nothing
+// changes, the committed slice is returned as-is with false (lists are
+// immutable, so sharing across caches is safe).
+func (m *listMerger) merge(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew []int, hasDelete bool, newIDs []int, candScores []float64, target int) ([]int, bool) {
 	// When the incumbent list is at full depth, its weakest surviving member
 	// is a sound entry threshold: an appended row that loses to it cannot be
 	// in the merged top-target. Filtering first makes the dominant case —
-	// nothing enters — one dot product, and leaves the merge with only true
-	// entrants.
-	cand := (*order)[:0]
+	// nothing enters — one dot product, and leaves only true entrants.
+	cand := m.cand[:0]
 	if target > 0 && len(list) >= target {
 		tailID := list[target-1]
 		if hasDelete {
@@ -296,19 +327,20 @@ func mergeRepairList(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew
 				cand = append(cand, i)
 			}
 		}
-		if len(cand) == 0 && !hasDelete {
-			*order = cand
-			return list[:target:target]
-		}
 	} else {
 		for i := range newIDs {
 			cand = append(cand, i)
 		}
 	}
+	m.cand = cand
+	if len(cand) == 0 && !hasDelete {
+		n := min(target, len(list))
+		return list[:n:n], false
+	}
 	// Order the entrants by (score desc, id asc); newIDs is ascending, so
 	// candidate position order doubles as the id tie-break. Entrant counts
 	// are small, so an insertion sort on the exact comparator beats a
-	// reflective sort.
+	// general sort.
 	for i := 1; i < len(cand); i++ {
 		c := cand[i]
 		j := i - 1
@@ -318,48 +350,59 @@ func mergeRepairList(newDS *dataset.Dataset, u geom.Vector, list []int, oldToNew
 		}
 		cand[j+1] = c
 	}
-	*order = cand
+
+	// Incumbents are scored in chunks of independent dot products, just
+	// ahead of the merge, so it only compares: appended rows tend to enter
+	// across the whole list, where one-at-a-time or binary-search probing
+	// would score most incumbents anyway as a chain of dependent probes,
+	// while a late chunk boundary still spares deep lists the incumbents
+	// below the weakest entrant.
+	ids := list
+	if hasDelete {
+		ids = m.ids[:0]
+		for _, id := range list {
+			ids = append(ids, oldToNew[id])
+		}
+		m.ids = ids
+	}
+	if cap(m.scores) < len(ids) {
+		m.scores = make([]float64, len(ids))
+	}
+	scores := m.scores[:len(ids)]
+	scored := 0
 
 	outLen := min(target, len(list)+len(cand))
-	out := make([]int, 0, outLen)
-	li, ci := 0, 0
-	changed := hasDelete // any remap means fresh content
-	incScored := false
-	var incID int
-	var incScore float64
-	for len(out) < outLen {
-		takeCand := li >= len(list)
-		if !takeCand {
-			if !incScored {
-				incID = list[li]
-				if hasDelete {
-					incID = oldToNew[incID]
-				}
-				if ci < len(cand) {
-					incScore = newDS.Utility(u, incID)
-				}
-				incScored = true
+	out, start := m.buf, len(m.buf)
+	pos := 0 // incumbents emitted so far
+	for _, c := range cand {
+		cs, cid := candScores[c], newIDs[c]
+		p := pos
+		for p < len(ids) {
+			if p == scored {
+				scored = min(scored+mergeScoreChunk, len(ids))
+				newDS.UtilitiesAt(u, ids[p:scored], scores[p:scored])
 			}
-			if ci < len(cand) {
-				cid := newIDs[cand[ci]]
-				takeCand = topk.Beats(candScores[cand[ci]], cid, incScore, incID)
+			if topk.Beats(cs, cid, scores[p], ids[p]) {
+				break
 			}
+			p++
 		}
-		if takeCand {
-			out = append(out, newIDs[cand[ci]])
-			ci++
-			changed = true
-		} else {
-			out = append(out, incID)
-			li++
-			incScored = false
+		p = min(p, pos+outLen-(len(out)-start))
+		out = append(out, ids[pos:p]...)
+		pos = p
+		if len(out)-start == outLen {
+			break
 		}
+		out = append(out, cid)
 	}
-	if !changed && len(out) == len(list) {
-		return list
-	}
-	return out
+	out = append(out, ids[pos:min(len(ids), pos+outLen-(len(out)-start))]...)
+	m.buf = out
+	return out[start:], true
 }
+
+// mergeScoreChunk is how many incumbents merge scores at a time: one chunk
+// covers a whole list at the depths HDRRM usually settles on (up to 32).
+const mergeScoreChunk = 32
 
 // repairReselectPass recomputes the affected vectors' lists from scratch
 // against the full repaired dataset: scoring every row for just those

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
@@ -396,5 +397,58 @@ func TestRepairParallelismIndependence(t *testing.T) {
 			continue
 		}
 		requireIdenticalTops(t, view, want, k)
+	}
+}
+
+// A repaired set shares its source's sample stream: extending either set,
+// concurrently and past a cancelled extension, yields exactly the vectors
+// of a fresh seeded build.
+func TestRepairSharesSampleStream(t *testing.T) {
+	ctx := context.Background()
+	base := dataset.Independent(xrand.New(8), 300, 3)
+	const gamma, seed = 3, 5
+	old := NewSharedVecSet(base, nil, gamma, seed, nil)
+	if _, _, err := old.Acquire(ctx, 100); err != nil {
+		t.Fatal(err)
+	}
+	cur := base.Snapshot()
+	appendRows(4)(t, xrand.New(9), cur, nil)
+	deltas, ok := cur.Deltas(base.Version())
+	if !ok {
+		t.Fatal("history truncated")
+	}
+	rep := NewRepairedVecSet(old, cur, deltas)
+	if _, outcome, err := rep.Acquire(ctx, 100); err != nil || outcome != VecSetRepaired {
+		t.Fatalf("repair acquire = outcome %v err %v", outcome, err)
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := rep.Acquire(cancelled, 5000); err != context.Canceled {
+		t.Fatalf("cancelled extension = %v, want context.Canceled", err)
+	}
+
+	sets := []*SharedVecSet{old, rep}
+	views := make([]*VecSet, len(sets))
+	errs := make([]error, len(sets))
+	var wg sync.WaitGroup
+	for i, s := range sets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			views[i], _, errs[i] = s.Acquire(ctx, 400+100*i)
+		}()
+	}
+	wg.Wait()
+	for i, vs := range views {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := BuildVecSet(base, nil, gamma, 400+100*i, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(vs.Vecs, want.Vecs, slices.Equal) {
+			t.Errorf("set %d: vectors after extension differ from a fresh seeded build", i)
+		}
 	}
 }

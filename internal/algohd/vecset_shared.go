@@ -68,11 +68,10 @@ type SharedVecSet struct {
 	sampler Sampler
 
 	mu        sync.Mutex
-	rng       *xrand.Rand
-	rngDirty  bool          // rng advanced past uncommitted draws; resync before use
-	vecs      []geom.Vector // grid + samples drawn so far; grows, never edited
+	stream    *sampleStream // shared with every set repaired from this one
+	vecs      []geom.Vector // grid + samples taken so far; grows, never edited
 	gridCount int
-	samples   int // sampled directions drawn so far
+	samples   int // sampled directions taken from the stream so far
 	built     bool
 	tc        *topsCache
 
@@ -87,6 +86,58 @@ type SharedVecSet struct {
 type repairSource struct {
 	old    *SharedVecSet
 	deltas []dataset.Delta
+}
+
+// sampleStream is the seeded direction stream Da behind a SharedVecSet and
+// every set repaired from it: they discretize one space with one seed and
+// sampler, and the stream does not depend on the data, so one stream serves
+// them all. Committed draws never change, so each set reads its own prefix,
+// and a repaired set extends from wherever the stream already is instead of
+// replaying it from the seed.
+type sampleStream struct {
+	space   funcspace.Space
+	seed    int64
+	sampler Sampler
+
+	mu    sync.Mutex
+	rng   *xrand.Rand
+	dirty bool          // rng advanced past uncommitted draws; resync before use
+	draws []geom.Vector // committed draws in stream order; grows, never edited
+}
+
+// take returns the first m draws, drawing more when the stream is shorter.
+// A failed draw (cancellation, a sampler that finds nothing) keeps the
+// committed draws, and the rng is resynced by replay before the next one.
+func (st *sampleStream) take(ctx context.Context, m int) ([]geom.Vector, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if m > len(st.draws) {
+		if st.dirty {
+			if err := st.resync(ctx); err != nil {
+				return nil, err
+			}
+		}
+		draws, err := drawSamples(ctx, st.space, m-len(st.draws), st.rng, st.sampler, st.draws)
+		if err != nil {
+			st.dirty = true
+			return nil, err
+		}
+		st.draws = draws
+	}
+	return st.draws[:m:m], nil
+}
+
+// resync repositions a fresh seeded rng at the end of the committed draws
+// by replaying (and discarding) the draws that produced them: the stream is
+// deterministic from the seed, so this is exact and costs only the
+// sampling, not the top-K lists. Called with st.mu held.
+func (st *sampleStream) resync(ctx context.Context) error {
+	rng := xrand.New(st.seed)
+	if _, err := drawSamples(ctx, st.space, len(st.draws), rng, st.sampler, nil); err != nil {
+		return err
+	}
+	st.rng, st.dirty = rng, false
+	return nil
 }
 
 // Dataset returns the dataset this set discretizes; the pointer is fixed at
@@ -119,23 +170,14 @@ func (s *SharedVecSet) Acquire(ctx context.Context, m int) (*VecSet, AcquireOutc
 		}
 	}
 	if m > s.samples {
-		if s.rngDirty {
-			if err := s.resyncRNG(ctx); err != nil {
-				return nil, outcome, err
-			}
-		}
-		vecs, err := drawSamples(ctx, s.space, m-s.samples, s.rng, s.sampler, s.vecs)
+		draws, err := s.stream.take(ctx, m)
 		if err != nil {
-			// The rng has advanced past draws that were never committed, so
-			// it no longer matches the end of the committed stream. Keep the
-			// grid, samples, and top-K lists — they are all still valid —
-			// and resync the rng before the next extension.
-			s.rngDirty = true
+			// The grid, samples, and top-K lists are all still valid.
 			return nil, outcome, err
 		}
-		s.vecs = vecs
+		s.vecs = append(s.vecs, draws[s.samples:]...)
 		s.samples = m
-		s.tc.setVecs(vecs)
+		s.tc.setVecs(s.vecs)
 		if outcome == VecSetReused {
 			outcome = VecSetExtended
 		}
@@ -170,7 +212,7 @@ func (s *SharedVecSet) materializeLocked(ctx context.Context) (AcquireOutcome, e
 		return VecSetReused, err
 	}
 	s.space = space
-	s.rng = xrand.New(s.seed)
+	s.stream = &sampleStream{space: space, seed: s.seed, sampler: s.sampler, rng: xrand.New(s.seed)}
 	s.vecs = grid
 	s.gridCount = len(grid)
 	s.samples = 0
@@ -191,23 +233,7 @@ func (s *SharedVecSet) materialize(ctx context.Context) error {
 	return err
 }
 
-// resyncRNG repositions a fresh seeded rng at the end of the committed
-// sample stream by replaying (and discarding) the draws that produced it:
-// the stream is deterministic from the seed, so this is exact and costs
-// only the sampling, not the top-K lists. Called with s.mu held.
-func (s *SharedVecSet) resyncRNG(ctx context.Context) error {
-	rng := xrand.New(s.seed)
-	if s.samples > 0 {
-		if _, err := drawSamples(ctx, s.space, s.samples, rng, s.sampler, nil); err != nil {
-			return err
-		}
-	}
-	s.rng = rng
-	s.rngDirty = false
-	return nil
-}
-
-// Samples returns how many sampled directions have been drawn so far.
+// Samples returns how many sampled directions this set has taken so far.
 func (s *SharedVecSet) Samples() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -96,3 +96,27 @@ func TestUtilitiesBatchReusesDst(t *testing.T) {
 		}
 	}
 }
+
+// Property: UtilitiesAt scores each listed tuple exactly as Utility does,
+// for every unrolled width and the generic one, and reuses dst.
+func TestUtilitiesAtMatchesUtility(t *testing.T) {
+	rng := xrand.New(7)
+	var dst []float64
+	for d := 1; d <= 6; d++ {
+		ds := Independent(rng, 40, d)
+		u := make([]float64, d)
+		for j := range u {
+			u[j] = rng.Float64()*2 - 0.5
+		}
+		ids := []int{39, 0, 17, 17, 3}
+		dst = ds.UtilitiesAt(u, ids, dst)
+		if len(dst) != len(ids) {
+			t.Fatalf("d=%d: %d scores for %d ids", d, len(dst), len(ids))
+		}
+		for k, i := range ids {
+			if want := ds.Utility(u, i); dst[k] != want {
+				t.Fatalf("d=%d: score of tuple %d = %v, want %v", d, i, dst[k], want)
+			}
+		}
+	}
+}

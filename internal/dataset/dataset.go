@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -113,6 +114,12 @@ func (ds *Dataset) Row(i int) []float64 {
 	return ds.vals[i*ds.d : (i+1)*ds.d : (i+1)*ds.d]
 }
 
+// RowMajor returns the value matrix itself: attribute j of tuple i is at
+// index i*Dim()+j. Callers must treat it as read-only. Kernels that stream
+// whole rows (the fused top-k scorer) read it directly instead of slicing
+// one Row at a time.
+func (ds *Dataset) RowMajor() []float64 { return ds.vals }
+
 // Value returns attribute j of tuple i.
 func (ds *Dataset) Value(i, j int) float64 { return ds.vals[i*ds.d+j] }
 
@@ -196,6 +203,7 @@ func (ds *Dataset) Clone() *Dataset {
 func (ds *Dataset) Subset(ids []int) *Dataset {
 	out := New(ds.d)
 	copy(out.attrs, ds.attrs)
+	out.vals = make([]float64, 0, len(ids)*ds.d)
 	for _, i := range ids {
 		out.Append(ds.Row(i))
 	}
@@ -247,6 +255,41 @@ func (ds *Dataset) Utility(u []float64, i int) float64 {
 		s += w * row[j]
 	}
 	return s
+}
+
+// UtilitiesAt fills dst (grown to len(ids), in place when it has room) with
+// the utility of each listed tuple under u and returns it. Terms are added in ascending j, as in
+// Utility and Utilities, so the scores agree exactly; small widths run
+// unrolled loops, which is what makes scoring short id lists (incremental
+// top-k repair) cheap.
+func (ds *Dataset) UtilitiesAt(u []float64, ids []int, dst []float64) []float64 {
+	dst = slices.Grow(dst[:0], len(ids))[:len(ids)]
+	d, vals := ds.d, ds.vals
+	switch d {
+	case 2:
+		u0, u1 := u[0], u[1]
+		for k, i := range ids {
+			r := vals[2*i : 2*i+2 : 2*i+2]
+			dst[k] = u0*r[0] + u1*r[1]
+		}
+	case 3:
+		u0, u1, u2 := u[0], u[1], u[2]
+		for k, i := range ids {
+			r := vals[3*i : 3*i+3 : 3*i+3]
+			dst[k] = u0*r[0] + u1*r[1] + u2*r[2]
+		}
+	case 4:
+		u0, u1, u2, u3 := u[0], u[1], u[2], u[3]
+		for k, i := range ids {
+			r := vals[4*i : 4*i+4 : 4*i+4]
+			dst[k] = u0*r[0] + u1*r[1] + u2*r[2] + u3*r[3]
+		}
+	default:
+		for k, i := range ids {
+			dst[k] = ds.Utility(u, i)
+		}
+	}
+	return dst
 }
 
 // Utilities fills dst (length N) with the utility of every tuple under u and
@@ -327,9 +370,11 @@ const utilitiesTupleTile = 1024
 // tuple under us[b] and returns dst. If dst is nil, too short, or holds
 // under-sized rows, the needed slices are (re)allocated. Scores are
 // bit-identical to per-vector Utilities calls — both accumulate attribute
-// terms in ascending j order — but the kernel runs blocked loops over the
-// cached column-major mirror, so a tile of vectors reuses each L1-resident
-// column strip instead of re-streaming the whole matrix per vector.
+// terms in ascending j order — but the kernel runs over the cached
+// column-major mirror in tuple blocks, so a tile of vectors reuses each
+// L1-resident column strip instead of re-streaming the whole matrix per
+// vector. For d <= 4 each tuple's whole dot product stays in registers with
+// one store per tuple; wider data accumulates column by column.
 func (ds *Dataset) UtilitiesBatch(us [][]float64, dst [][]float64) [][]float64 {
 	n, d := ds.N(), ds.d
 	if cap(dst) < len(us) {
@@ -347,25 +392,53 @@ func (ds *Dataset) UtilitiesBatch(us [][]float64, dst [][]float64) [][]float64 {
 	}
 	cols := ds.ColumnMajor()
 	for i0 := 0; i0 < n; i0 += utilitiesTupleTile {
-		i1 := i0 + utilitiesTupleTile
-		if i1 > n {
-			i1 = n
-		}
+		i1 := min(i0+utilitiesTupleTile, n)
 		for b, u := range us {
-			acc := dst[b][i0:i1]
-			for i := range acc {
-				acc[i] = 0
-			}
-			for j := 0; j < d; j++ {
-				w := u[j]
-				col := cols[j*n+i0 : j*n+i1]
-				for i, v := range col {
-					acc[i] += w * v
-				}
-			}
+			utilitiesBlock(dst[b][i0:i1], cols, n, i0, u[:d])
 		}
 	}
 	return dst
+}
+
+// utilitiesBlock scores tuples [i0, i0+len(acc)) of the column-major matrix
+// cols (n rows) under u into acc. The unrolled cases add terms in the same
+// ascending-j order as the generic loop and Utilities, so every case is
+// bit-identical to them.
+func utilitiesBlock(acc, cols []float64, n, i0 int, u []float64) {
+	m := len(acc)
+	col := func(j int) []float64 { return cols[j*n+i0 : j*n+i0+m] }
+	switch len(u) {
+	case 1:
+		u0, c0 := u[0], col(0)
+		for i := range acc {
+			acc[i] = u0 * c0[i]
+		}
+	case 2:
+		u0, u1 := u[0], u[1]
+		c0, c1 := col(0), col(1)
+		for i := range acc {
+			acc[i] = u0*c0[i] + u1*c1[i]
+		}
+	case 3:
+		u0, u1, u2 := u[0], u[1], u[2]
+		c0, c1, c2 := col(0), col(1), col(2)
+		for i := range acc {
+			acc[i] = u0*c0[i] + u1*c1[i] + u2*c2[i]
+		}
+	case 4:
+		u0, u1, u2, u3 := u[0], u[1], u[2], u[3]
+		c0, c1, c2, c3 := col(0), col(1), col(2), col(3)
+		for i := range acc {
+			acc[i] = u0*c0[i] + u1*c1[i] + u2*c2[i] + u3*c3[i]
+		}
+	default:
+		clear(acc)
+		for j, w := range u {
+			for i, v := range col(j) {
+				acc[i] += w * v
+			}
+		}
+	}
 }
 
 // Normalize min-max scales every attribute to [0,1] in place, matching the

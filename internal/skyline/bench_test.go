@@ -49,3 +49,14 @@ func BenchmarkRestrictedSkylineCone(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKSkybandWeather is the depth-32 k-skyband of SimWeather
+// n=20,000, the pruning step of HDRRM's top-32 scoring pass.
+func BenchmarkKSkybandWeather(b *testing.B) {
+	ds := dataset.SimWeather(xrand.New(2), 20000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		KSkybandOrdered(ds, 32)
+	}
+}

@@ -133,3 +133,25 @@ func TestKSkybandEdges(t *testing.T) {
 		t.Errorf("KSkyband(k=1) = %v, want [0 1 2]", got)
 	}
 }
+
+// KSkybandOrdered is KSkyband in SumOrder, with each id's row packed at its
+// position.
+func TestKSkybandOrderedLayout(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		ds := tiedDataset(seed, 120, int(seed%5)+1, 4)
+		k := int(seed%7) + 1
+		ids, rows := KSkybandOrdered(ds, k)
+		band := KSkyband(ds, k)
+		if !reflect.DeepEqual(SumOrder(ds, band), ids) {
+			t.Fatalf("seed %d: KSkybandOrdered ids %v are not KSkyband %v in SumOrder", seed, ids, band)
+		}
+		if rows.N() != len(ids) {
+			t.Fatalf("seed %d: %d packed rows for %d ids", seed, rows.N(), len(ids))
+		}
+		for i, id := range ids {
+			if !reflect.DeepEqual(rows.Row(i), ds.Row(id)) {
+				t.Fatalf("seed %d: packed row %d is not row %d", seed, i, id)
+			}
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package topk
 
-import "sort"
+import "slices"
 
 // better reports whether position a should rank before position b in a score
 // slice, delegating to the package's beats comparator so the two can never
@@ -60,7 +60,15 @@ func SelectScratch(scores []float64, ids []int, k int, scratch []int) ([]int, []
 		quickselectTop(scores, perm, k)
 		top = perm[:k]
 	}
-	sort.Slice(top, func(a, b int) bool { return better(scores, top[a], top[b]) })
+	slices.SortFunc(top, func(a, b int) int {
+		switch {
+		case better(scores, a, b):
+			return -1
+		case better(scores, b, a):
+			return 1
+		}
+		return 0
+	})
 	out := make([]int, k)
 	if ids == nil {
 		copy(out, top)
