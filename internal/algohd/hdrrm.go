@@ -131,6 +131,23 @@ func ASMS(ds *dataset.Dataset, k int, basis []int, vs *VecSet) []int {
 // coverage scan, and the greedy set-cover rounds all check ctx and abort
 // with ctx.Err().
 func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *VecSet) ([]int, error) {
+	return asms(ctx, ds, k, basis, vs, &asmsScratch{})
+}
+
+// asmsScratch holds the buffers of one ASMS call, so the probes of a
+// threshold search reuse them instead of allocating their own; each call
+// overwrites what it reads.
+type asmsScratch struct {
+	inBasis []bool
+	end     []int   // per tuple: cover-set size, then the set's end in flat
+	dk      []int   // indices into D of the vectors in Dk
+	touched []int   // tuple ids with a non-empty cover set, ascending
+	flat    []int   // the cover sets back to back, in tuple id order
+	sets    [][]int // views into flat, one per touched tuple
+}
+
+// asms is ASMSCtx with caller-owned buffers.
+func asms(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *VecSet, sc *asmsScratch) ([]int, error) {
 	n := ds.N()
 	if k > n {
 		k = n
@@ -139,17 +156,17 @@ func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *V
 	if err != nil {
 		return nil, err
 	}
-	inBasis := make([]bool, n)
+	inBasis := resize(sc.inBasis, n)
+	clear(inBasis)
 	for _, b := range basis {
 		inBasis[b] = true
 	}
-	// Dk: vectors not covered by the basis; coverOf[t]: vectors (as indices
-	// into Dk) covered by tuple t. Dense slices instead of maps: the scan
-	// runs once per ASMS call over every vector in D and dominates the warm
-	// path when the top-K lists are already cached.
-	nDk := 0
-	coverOf := make([][]int, n)
-	var touched []int // tuple ids with a non-empty cover set, ascending
+	// Dk: vectors not covered by the basis; the cover set of tuple t holds
+	// (as indices into Dk) the vectors of Dk whose top list contains t. The
+	// sets are counted first and then filled into one flat slice.
+	end := resize(sc.end, n)
+	clear(end)
+	dk := sc.dk[:0]
 	for v := 0; v < vs.Len(); v++ {
 		if v%4096 == 0 {
 			if err := ctxutil.Cancelled(ctx); err != nil {
@@ -167,26 +184,44 @@ func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *V
 		if covered {
 			continue
 		}
-		u := nDk
-		nDk++
+		dk = append(dk, v)
 		for _, t := range top {
-			if coverOf[t] == nil {
-				touched = append(touched, t)
-			}
-			coverOf[t] = append(coverOf[t], u)
+			end[t]++
 		}
 	}
+	sc.inBasis, sc.end, sc.dk = inBasis, end, dk
+	nDk := len(dk)
 	if nDk == 0 {
 		return uniqueInts(append([]int(nil), basis...)), nil
 	}
 	// Set cover over the universe Dk, candidate tuples in ascending id order
-	// for reproducibility.
-	sort.Ints(touched)
-	sortedSets := make([][]int, len(touched))
-	for i, t := range touched {
-		sortedSets[i] = coverOf[t]
+	// for reproducibility. end[t] becomes the start of t's set, and the fill
+	// advances it to the set's end.
+	touched := sc.touched[:0]
+	off := 0
+	for t, c := range end {
+		if c > 0 {
+			touched = append(touched, t)
+		}
+		end[t] = off
+		off += c
 	}
-	chosen, ok, err := setcover.GreedyCtx(ctx, nDk, sortedSets)
+	flat := resize(sc.flat, off)
+	for u, v := range dk {
+		for _, t := range tops[v][:k] {
+			flat[end[t]] = u
+			end[t]++
+		}
+	}
+	sets := resize(sc.sets, len(touched))
+	lo := 0
+	for i, t := range touched {
+		hi := end[t]
+		sets[i] = flat[lo:hi:hi]
+		lo = hi
+	}
+	sc.touched, sc.flat, sc.sets = touched, flat, sets
+	chosen, ok, err := setcover.GreedyCtx(ctx, nDk, sets)
 	if err != nil {
 		return nil, err
 	}
@@ -199,6 +234,15 @@ func ASMSCtx(ctx context.Context, ds *dataset.Dataset, k int, basis []int, vs *V
 		q = append(q, touched[ci])
 	}
 	return uniqueInts(q), nil
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // HDRRM is the paper's Algorithm 3: it returns a set of at most r tuples
@@ -262,9 +306,10 @@ func HDRRMWithVecSetCtx(ctx context.Context, ds *dataset.Dataset, r int, opts Op
 func searchSmallestK(ctx context.Context, ds *dataset.Dataset, r int, basis []int, vs *VecSet) ([]int, int, error) {
 	n := ds.N()
 	var fit []int
+	var sc asmsScratch
 	k := 1
 	for {
-		q, err := ASMSCtx(ctx, ds, k, basis, vs)
+		q, err := asms(ctx, ds, k, basis, vs, &sc)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -287,7 +332,7 @@ func searchSmallestK(ctx context.Context, ds *dataset.Dataset, r int, basis []in
 	bestK := k
 	for low < high {
 		mid := (low + high) / 2
-		q, err := ASMSCtx(ctx, ds, mid, basis, vs)
+		q, err := asms(ctx, ds, mid, basis, vs, &sc)
 		if err != nil {
 			return nil, 0, err
 		}

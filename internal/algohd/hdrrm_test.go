@@ -2,11 +2,13 @@ package algohd
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/rankregret/rankregret/internal/dataset"
 	"github.com/rankregret/rankregret/internal/eval"
 	"github.com/rankregret/rankregret/internal/funcspace"
+	"github.com/rankregret/rankregret/internal/setcover"
 	"github.com/rankregret/rankregret/internal/topk"
 	"github.com/rankregret/rankregret/internal/xrand"
 )
@@ -347,6 +349,75 @@ func TestHDRRMTheorem7UtilityFloor(t *testing.T) {
 		if best < (1-eps)*kth {
 			t.Fatalf("direction %v: best output utility %.4f < (1-eps) * k-th utility %.4f",
 				u, best, kth)
+		}
+	}
+}
+
+// asmsReference is ASMS as the paper states it, with one growing cover set
+// per tuple: the oracle for the flat layout and the reused buffers.
+func asmsReference(ds *dataset.Dataset, k int, basis []int, vs *VecSet) []int {
+	k = min(k, ds.N())
+	inBasis := map[int]bool{}
+	for _, b := range basis {
+		inBasis[b] = true
+	}
+	coverOf := map[int][]int{}
+	nDk := 0
+	for v := 0; v < vs.Len(); v++ {
+		covered := false
+		for _, t := range vs.Top(v, k) {
+			covered = covered || inBasis[t]
+		}
+		if covered {
+			continue
+		}
+		for _, t := range vs.Top(v, k) {
+			coverOf[t] = append(coverOf[t], nDk)
+		}
+		nDk++
+	}
+	var touched []int
+	for t := range coverOf {
+		touched = append(touched, t)
+	}
+	sort.Ints(touched)
+	sets := make([][]int, len(touched))
+	for i, t := range touched {
+		sets[i] = coverOf[t]
+	}
+	chosen, _ := setcover.Greedy(nDk, sets)
+	q := append([]int(nil), basis...)
+	for _, ci := range chosen {
+		q = append(q, touched[ci])
+	}
+	return uniqueInts(q)
+}
+
+// TestASMSScratchReuse runs one scratch through thresholds that grow and
+// shrink, as the threshold search does, and checks every answer against
+// the reference and against a call with fresh buffers.
+func TestASMSScratchReuse(t *testing.T) {
+	for _, d := range []int{2, 3, 4} {
+		for _, gen := range []func(*xrand.Rand, int, int) *dataset.Dataset{dataset.Anticorrelated, dataset.Independent} {
+			ds := gen(xrand.New(int64(10+d)), 300, d)
+			vs, err := BuildVecSet(ds, nil, 4, 300, xrand.New(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			basis := uniqueInts(ds.Basis())
+			var sc asmsScratch
+			for _, k := range []int{1, 2, 4, 64, 3, 17, 1, ds.N(), 8, 2 * ds.N()} {
+				got, err := asms(nil, ds, k, basis, vs, &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := asmsReference(ds, k, basis, vs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("d=%d k=%d: reused buffers give %v, reference %v", d, k, got, want)
+				}
+				if fresh := ASMS(ds, k, basis, vs); !reflect.DeepEqual(got, fresh) {
+					t.Fatalf("d=%d k=%d: reused buffers give %v, fresh ones %v", d, k, got, fresh)
+				}
+			}
 		}
 	}
 }
